@@ -238,8 +238,9 @@ fi
 echo "federation smoke OK: infection seen, outage degrades, exit-code parity"
 
 echo "== merkle smoke (O(dirty) section hashing: verdict parity + speedup) =="
-# Every detection scenario must produce the same exit code with --merkle
-# as with full hashing — trees change the price, never the verdict.
+# Every detection scenario must produce the same exit code through the
+# engine (always incremental, so its survey runs on the Merkle prints) as
+# through one-shot full hashing — trees change the price, never the verdict.
 for pair in "opcode hal.dll" "hook hal.dll" "stub hello.sys" \
             "dll-inject dummy.sys" "ptr hal.dll" "hide http.sys" \
             "- hal.dll"; do
@@ -251,8 +252,9 @@ for pair in "opcode hal.dll" "hook hal.dll" "stub hello.sys" \
     infect_args="--infect $technique --vm 1"
   fi
   set +e
-  dune exec --no-build bin/modchecker_cli.exe -- \
-    survey --vms 5 -m "$module" $infect_args --merkle > /dev/null 2>&1
+  printf 'survey - %s\n' "$module" |
+    dune exec --no-build bin/modchecker_cli.exe -- \
+      serve --vms 5 --requests - $infect_args > /dev/null 2>&1
   merkle_status=$?
   dune exec --no-build bin/modchecker_cli.exe -- \
     survey --vms 5 -m "$module" $infect_args > /dev/null 2>&1
@@ -266,7 +268,7 @@ done
 echo "merkle verdict parity OK: 6 techniques + clean, identical exit codes"
 
 # The O(dirty) refresh must actually be cheap: at one dirty page per VM
-# the metered sweep cost must drop at least 5x vs the flat re-hash.
+# the metered sweep cost must drop at least 5x vs a full rebuild.
 merkle_fig="$(mktemp -t modchecker_merkle.XXXXXX.txt)"
 trap 'rm -f "$trace" "$metrics" "$detect" "$reqs" "$serve_out" "$sim1" "$sim2" "$simfail" "$fed" "$merkle_fig"' EXIT
 dune exec --no-build bin/modchecker_cli.exe -- \
@@ -277,7 +279,7 @@ if [ -z "$speedup" ] || ! awk -v s="$speedup" 'BEGIN { exit !(s >= 5.0) }'; then
   cat "$merkle_fig" >&2
   exit 1
 fi
-echo "merkle O(dirty) smoke OK: 1-dirty-page sweep ${speedup}x cheaper than flat re-hash"
+echo "merkle O(dirty) smoke OK: 1-dirty-page sweep ${speedup}x cheaper than full rebuild"
 
 echo "== event-driven patrol smoke (write traps: instant detection, idle pool free) =="
 ev="$(mktemp -t modchecker_events.XXXXXX.txt)"

@@ -98,4 +98,5 @@ val tamper : 'a t -> (vm:int -> key:string -> 'a -> 'a option) -> int
     their footprints valid, and returns how many entries changed.
     Test-only sabotage: it simulates a checker whose memoized results lie
     (e.g. one digest byte flipped), which the simulation harness's oracle
-    must catch. Never used by production paths. *)
+    must catch; the X13 figure also uses it to strip page indexes for its
+    full-rebuild baseline. Never used by production paths. *)

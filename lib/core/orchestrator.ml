@@ -46,7 +46,6 @@ type merkle_print = {
 }
 
 type incremental = {
-  inc_digests : fingerprint option Digest_cache.t;
   inc_merkle : merkle_print option Digest_cache.t;
   inc_lists : string list Digest_cache.t;
   inc_pages : (int, Vmi.page_cache) Hashtbl.t;
@@ -55,7 +54,6 @@ type incremental = {
 
 let create_incremental () =
   {
-    inc_digests = Digest_cache.create ();
     inc_merkle = Digest_cache.create ();
     inc_lists = Digest_cache.create ();
     inc_pages = Hashtbl.create 16;
@@ -68,7 +66,6 @@ module Config = struct
     others : int list option;
     strategy : survey_strategy;
     incremental : incremental option;
-    merkle : bool;
     quorum : float;
     deadline_s : float option;
   }
@@ -79,7 +76,6 @@ module Config = struct
       others = None;
       strategy = Pairwise;
       incremental = None;
-      merkle = false;
       quorum = Report.default_quorum;
       deadline_s = None;
     }
@@ -88,7 +84,6 @@ module Config = struct
   let with_others others t = { t with others = Some others }
   let with_strategy strategy t = { t with strategy }
   let with_incremental incremental t = { t with incremental = Some incremental }
-  let with_merkle merkle t = { t with merkle }
   let with_quorum quorum t = { t with quorum }
   let with_deadline deadline_s t = { t with deadline_s = Some deadline_s }
 end
@@ -496,7 +491,7 @@ let vm_fingerprint ~meter ~relocs ~base artifacts : fingerprint =
 (* The derived fingerprint compares exactly like the flat one: same kinds,
    one digest per kind, sorted. Root equality is adjusted-content equality
    under the same MD5 collision assumption as a flat digest, so verdict
-   parity with the non-merkle path holds by construction. *)
+   parity with [vm_fingerprint] holds by construction. *)
 let merkle_fingerprint_of mp : fingerprint =
   mp.mp_flat
   @ List.map
@@ -916,11 +911,11 @@ let check_module_merkle ~config inc cloud ~target_vm ~module_name =
 
 let check_module ?(config = Config.default) cloud ~target_vm ~module_name =
   match config.Config.incremental with
-  | Some inc when config.Config.merkle -> (
+  | Some inc -> (
       match check_module_merkle ~config inc cloud ~target_vm ~module_name with
       | Some r -> r
       | None -> check_module_full ~config cloud ~target_vm ~module_name)
-  | Some _ | None -> check_module_full ~config cloud ~target_vm ~module_name
+  | None -> check_module_full ~config cloud ~target_vm ~module_name
 
 exception Escalate_to_full
 
@@ -940,9 +935,7 @@ let rec survey ?(config = Config.default) ?meter cloud ~module_name =
       ?meter cloud ~module_name
 
 and survey_once ~config ?meter cloud ~module_name =
-  let { Config.mode; strategy; incremental; merkle; quorum; deadline_s; _ } =
-    config
-  in
+  let { Config.mode; strategy; incremental; quorum; deadline_s; _ } = config in
   Tel.with_span
     ~attrs:
       [
@@ -963,16 +956,20 @@ and survey_once ~config ?meter cloud ~module_name =
   let on_timeout vm = (vm, Unreachable deadline_reason, Meter.create ()) in
   let vms_present, missing_on, unreachable_on, pairwise =
     match incremental with
-    | Some inc when merkle ->
-        (* Merkle path: like the incremental path below, but the memoized
-           value is the per-section tree, not just the digests — so a VM
-           whose module pages were written refreshes at O(dirty): the
+    | Some inc ->
+        (* Incremental path: per-VM reloc-adjusted Merkle prints, memoized
+           on the pages each computation read. An untouched VM prices as
+           one staleness probe instead of a map+parse+hash pipeline, and a
+           VM whose module pages were written refreshes at O(dirty): the
            delta probe names the dirty frames, the page index maps them
            to leaves, and only those leaves (plus the O(log n) interior
            nodes above them) are re-read and re-hashed. A dirty frame
            outside the section page index (an LDR page, a page-table
            page, a header page) means the walk itself may have changed,
-           and the entry rebuilds from scratch. *)
+           and the entry rebuilds from scratch. Reloc tables are per patch
+           level (each level is a different build of the module), resolved
+           up front so pool workers share them without touching the
+           catalog memo table concurrently. *)
         let relocs_by_level =
           List.map
             (fun level -> (level, module_relocs ~version:level module_name))
@@ -1015,9 +1012,12 @@ and survey_once ~config ?meter cloud ~module_name =
               @ pairs rest
         in
         let pairwise = pairs present in
-        (* Same escalation rule as the digest path (see below) — but the
-           trees let us localize the deviant pages first, before the full
-           survey re-derives the verdict byte by byte. *)
+        (* Copies from different patch levels are different builds and
+           always mismatch — that is a version split, not tampering, and
+           the full survey would reach the same (non-)conclusion about it.
+           Only a disagreement inside one cohort demands escalation; the
+           trees localize the deviant pages first, before the full survey
+           re-derives the verdict byte by byte. *)
         (match
            List.find_opt
              (fun ((a, b), ok) ->
@@ -1031,104 +1031,6 @@ and survey_once ~config ?meter cloud ~module_name =
               (b, List.assoc b prints);
             raise Escalate_to_full
         | None -> ());
-        (List.map fst present, missing_on, unreachable_on, pairwise)
-    | Some inc ->
-        (* Incremental path: per-VM reloc-adjusted fingerprints, memoized
-           on the pages each computation read. An untouched VM prices as
-           one staleness probe instead of a map+parse+hash pipeline. Reloc
-           tables are per patch level (each level is a different build of
-           the module), resolved up front so pool workers share them
-           without touching the catalog memo table concurrently. *)
-        let relocs_by_level =
-          List.map
-            (fun level -> (level, module_relocs ~version:level module_name))
-            (Cloud.distinct_patch_levels cloud)
-        in
-        let fingerprint_vm vm =
-          let relocs =
-            List.assoc (Cloud.vm_patch_level cloud vm) relocs_by_level
-          in
-          Tel.with_span ?parent:root_id ~attrs:[ ("vm", Int vm) ] "vm_check"
-          @@ fun _ ->
-          let dom = Cloud.vm cloud vm in
-          let jm = Meter.create () in
-          Meter.set_phase jm Meter.Searcher;
-          let fp =
-            match
-              Digest_cache.probe ~meter:jm inc.inc_digests dom ~vm
-                ~key:module_name
-            with
-            | Some fp -> (
-                match fp with Some f -> Fetched f | None -> Absent)
-            | None -> (
-                let epoch = Xenctl.memory_epoch dom in
-                let vmi =
-                  Vmi.init ~meter:jm ~cache:(page_cache_for inc vm) dom
-                    (profile_for dom)
-                in
-                match fetch_with_vmi vmi ~vm ~module_name ~meter:jm with
-                | exception e -> (
-                    (* An aborted read must not populate the cache: its
-                       footprint covers only the pages read before the
-                       fault, which cannot key the full computation. *)
-                    match unreachable_of_exn e with
-                    | Some reason ->
-                        Tel.add "check.unreachable_fetches" 1;
-                        Unreachable reason
-                    | None -> raise e)
-                | fetched ->
-                    let fp =
-                      match fetched with
-                      | None -> None
-                      | Some (info, artifacts) ->
-                          Meter.set_phase jm Meter.Checker;
-                          Some
-                            (vm_fingerprint ~meter:jm ~relocs
-                               ~base:info.Searcher.mi_base artifacts)
-                    in
-                    Digest_cache.store inc.inc_digests ~vm ~key:module_name
-                      ~epoch ~footprint:(Vmi.footprint vmi) fp;
-                    (match fp with Some f -> Fetched f | None -> Absent))
-          in
-          (vm, fp, jm)
-        in
-        let jobs = map_vms_deadline mode ?deadline_s ~on_timeout fingerprint_vm vms in
-        List.iter (fun (_, _, jm) -> fold_job jm) jobs;
-        let present =
-          List.filter_map
-            (fun (vm, fp, _) ->
-              match fp with Fetched f -> Some (vm, f) | _ -> None)
-            jobs
-        in
-        let missing_on =
-          List.filter_map
-            (fun (vm, fp, _) -> if fp = Absent then Some vm else None)
-            jobs
-        in
-        let unreachable_on =
-          List.filter_map
-            (fun (vm, fp, _) ->
-              match fp with Unreachable r -> Some (vm, r) | _ -> None)
-            jobs
-        in
-        let rec pairs = function
-          | [] -> []
-          | (v, fp) :: rest ->
-              List.map (fun (u, fq) -> ((v, u), (fp : fingerprint) = fq)) rest
-              @ pairs rest
-        in
-        let pairwise = pairs present in
-        (* Copies from different patch levels are different builds and
-           always mismatch — that is a version split, not tampering, and
-           the full survey would reach the same (non-)conclusion about it.
-           Only a disagreement inside one cohort demands escalation. *)
-        if
-          List.exists
-            (fun ((a, b), ok) ->
-              (not ok)
-              && Cloud.vm_patch_level cloud a = Cloud.vm_patch_level cloud b)
-            pairwise
-        then raise Escalate_to_full;
         (List.map fst present, missing_on, unreachable_on, pairwise)
     | None ->
         let fetch vm =
@@ -1403,14 +1305,7 @@ let watch_pfns inc dom ~vm ~watch =
     Option.value ~default:[]
       (Digest_cache.footprint_pfns cache ~vm ~key ~epoch)
   in
-  let module_pfns name =
-    (* Prefer the Merkle print's footprint (it carries the page→leaf
-       index); entries cached as flat fingerprints cover the same pages. *)
-    match Digest_cache.footprint_pfns inc.inc_merkle ~vm ~key:name ~epoch with
-    | Some pfns -> pfns
-    | None -> fp inc.inc_digests name
-  in
-  List.map (fun name -> (Watch_module name, module_pfns name)) watch
+  List.map (fun name -> (Watch_module name, fp inc.inc_merkle name)) watch
   @ [ (Watch_lists, fp inc.inc_lists list_key) ]
 
 (* Cross-check the two Dom0 read channels over the cached watch

@@ -59,14 +59,11 @@ type merkle_print = {
     root digests, sorted by kind) compares exactly like {!fingerprint}. *)
 
 type incremental = {
-  inc_digests : fingerprint option Digest_cache.t;
-      (** (vm, module) → fingerprint, or [None] for "absent on that VM"
-          (absence is as cacheable as presence — the LDR walk's footprint
-          keys it). *)
   inc_merkle : merkle_print option Digest_cache.t;
-      (** (vm, module) → Merkle print, the [Config.merkle] counterpart of
-          [inc_digests]: keeping the whole leaf vector (not just roots)
-          is what lets a k-dirty-page probe refresh k leaves instead of
+      (** (vm, module) → Merkle print, or [None] for "absent on that VM"
+          (absence is as cacheable as presence — the LDR walk's footprint
+          keys it). Keeping the whole leaf vector (not just roots) is
+          what lets a k-dirty-page probe refresh k leaves instead of
           re-hashing the section. *)
   inc_lists : string list Digest_cache.t;
       (** vm → lower-cased module-list walk result. *)
@@ -93,18 +90,15 @@ module Config : sig
             Ignored by {!survey} (full mesh by definition). *)
     strategy : survey_strategy;  (** Used by {!survey} only. *)
     incremental : incremental option;
-        (** Shared carry-over state; with it, {!survey} compares memoized
-            per-VM fingerprints and {!survey_module_lists} reuses cached
-            listings. *)
-    merkle : bool;
-        (** With [incremental], memoize per-section Merkle trees instead
-            of flat fingerprints: a VM with k dirty module pages
-            refreshes at the cost of k leaf hashes plus O(log n)
-            interior nodes ({!Digest_cache.probe_delta} names the dirty
-            frames), and a deviant pair's divergent pages are localized
-            by tree descent before escalation. Verdicts are unchanged —
-            root equality is digest equality. No effect without
-            [incremental]. *)
+        (** Shared carry-over state; with it, {!survey} and
+            {!check_module} compare memoized per-VM Merkle prints and
+            {!survey_module_lists} reuses cached listings. A VM with k
+            dirty module pages refreshes at the cost of k leaf hashes
+            plus O(log n) interior nodes ({!Digest_cache.probe_delta}
+            names the dirty frames), and a deviant pair's divergent
+            pages are localized by tree descent before escalation.
+            Verdicts are unchanged — root equality is digest
+            equality. *)
     quorum : float;
         (** Minimum responding fraction of the surveyed VMs for a verdict
             to count; below it the verdict is [Degraded]. *)
@@ -124,8 +118,6 @@ module Config : sig
   val with_strategy : survey_strategy -> t -> t
 
   val with_incremental : incremental -> t -> t
-
-  val with_merkle : bool -> t -> t
 
   val with_quorum : float -> t -> t
 
@@ -151,7 +143,7 @@ val check_module :
     [unreachable] field. When fewer than [config.quorum] of the
     comparison VMs respond, the report's verdict is [Degraded].
 
-    With [config.incremental] {e and} [config.merkle], a warm check
+    With [config.incremental], a warm check
     takes the Merkle fast path: the target's and every comparison VM's
     memoized reloc-adjusted fingerprints are refreshed via log-dirty
     staleness probes (O(dirty) like the survey's) and compared directly;
@@ -185,7 +177,7 @@ val survey :
     join.
 
     With [config.incremental], the survey compares per-VM reloc-adjusted
-    fingerprints memoized in the digest cache: a VM whose relevant pages
+    Merkle prints memoized in the digest cache: a VM whose relevant pages
     are untouched since the last sweep costs one log-dirty staleness probe
     instead of a full map→parse→hash pipeline, and the strategy is
     irrelevant. Reloc-guided adjustment can only reconcile {e clean}
@@ -282,8 +274,8 @@ val watch_pfns :
   (watch_source * int list) list
 (** [watch_pfns inc dom ~vm ~watch] is, per watch source, the guest
     frames whose writes must re-trigger its check — read straight out of
-    the digest caches' footprints (Merkle print preferred, flat
-    fingerprint fallback, plus the cached list walk). A source with no
+    the digest caches' footprints (the Merkle print's, plus the cached
+    list walk). A source with no
     current-epoch cache entry maps to [[]]: it cannot be armed until a
     survey repopulates the cache. Dom0-local and unmetered. *)
 
@@ -315,7 +307,7 @@ val merkle_root :
     the VM's cached Merkle print for the module — MD5 over its derived
     fingerprint (flat digests plus per-section Merkle roots, sorted by
     kind) — or [None] when no current-epoch print is cached (module not
-    yet checked with [Config.merkle], absent on that VM, or the VM
+    yet checked incrementally, absent on that VM, or the VM
     rebooted since). Dom0-local and unmetered ({!Digest_cache.peek}):
     it reads the value the last check computed, which is exactly what an
     attestation entry for that check must anchor. Base-independent —

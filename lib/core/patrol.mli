@@ -208,7 +208,7 @@ val run_events :
   outcome
 (** [run_events cloud ~until] is {!run_events_driven} with in-process
     checking closures: surveys run under [config.check] forced
-    incremental + Merkle (shared caches are what watches are armed
+    incremental (the shared Merkle caches are what watches are armed
     from), with a worker pool when [config.workers > 1]. This is the
     CLI's [patrol --event-driven]. *)
 

@@ -133,7 +133,7 @@ val anchor_root : t -> request -> string option
     was about, read from the engine's shared incremental cache: the
     target VM's root for a check (falling back to the first VM holding
     one), the first cached root for a survey, [None] for a lists walk or
-    when the engine runs without [Config.merkle]. Dom0-local — it reads
+    when no current-epoch print is cached. Dom0-local — it reads
     what servicing the request just cached, which is what an attestation
     ledger entry for that response must anchor. *)
 

@@ -149,13 +149,14 @@ val incremental_steady_state :
 
 type merkle_row = {
   mk_dirty : int;  (** .text pages dirtied per VM between sweeps. *)
-  mk_flat_s : float;
-      (** Steady sweep CPU with flat incremental fingerprints — any
-          staleness re-fetches and re-hashes the whole module. *)
+  mk_rebuild_s : float;
+      (** Steady sweep CPU when any dirty page forces a full rebuild of
+          the VM's print (warm page cache) — any staleness re-fetches and
+          re-hashes the whole module. *)
   mk_merkle_s : float;  (** The same sweep with Merkle prints. *)
   mk_leaves : int;  (** Leaves re-hashed during the Merkle sweep. *)
   mk_nodes : int;  (** Interior Merkle digests computed. *)
-  mk_speedup : float;  (** Flat / Merkle. *)
+  mk_speedup : float;  (** Rebuild / Merkle. *)
 }
 
 val merkle_dirty_sweep :
@@ -163,8 +164,8 @@ val merkle_dirty_sweep :
   unit -> merkle_row list
 (** X13: O(dirty) refresh cost. Every VM's module has k .text pages
     dirtied (content unchanged) between a warm sweep and a measured one;
-    the flat incremental path pays a full per-VM rebuild while the Merkle
-    path re-hashes k leaves plus O(log n) interior nodes, so the speedup
+    the baseline pays a full per-VM rebuild on any dirty page while the
+    Merkle path re-hashes k leaves plus O(log n) interior nodes, so the speedup
     column is largest at small k and every verdict stays clean. *)
 
 type fault_row = {

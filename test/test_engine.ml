@@ -137,6 +137,37 @@ let test_parity_survey () =
 
 (* --- coalescing ----------------------------------------------------------- *)
 
+(* The engine is always incremental, and incremental means Merkle: with
+   the default config a repeated check takes the warm fast path and
+   leaves an anchor root behind for the ledger. *)
+let test_default_config_takes_merkle_fast_path () =
+  let was_enabled = Mc_telemetry.Registry.enabled () in
+  Mc_telemetry.Registry.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      Mc_telemetry.Registry.set_enabled was_enabled)
+  @@ fun () ->
+  let fast_path () =
+    Mc_telemetry.Metric.counter_value
+      (Mc_telemetry.Registry.counter "check.merkle_fast_path")
+  in
+  let cloud = Cloud.create ~vms:4 ~seed:929L () in
+  let engine = Engine.create ~shards:1 cloud in
+  let request = Engine.Check { vm = 0; module_name = "hal.dll" } in
+  ignore (Engine.run engine request);
+  let before = fast_path () in
+  let r = Engine.run engine request in
+  let anchor = Engine.anchor_root engine request in
+  Engine.drain engine;
+  (match r.Engine.r_outcome with
+  | Engine.Checked (Ok o) ->
+      check Alcotest.string "intact" "intact"
+        (verdict_key o.Orchestrator.report.Report.verdict)
+  | _ -> Alcotest.fail "expected a successful check");
+  check Alcotest.bool "second reply carries an anchor root" true
+    (Option.is_some anchor);
+  check Alcotest.int "second check took the fast path" (before + 1)
+    (fast_path ())
+
 (* One shard services sequentially, so a duplicate submitted behind a
    long blocker is deterministically still queued — it must join the
    first submission's deferred, not run again. *)
@@ -824,6 +855,8 @@ let () =
         ] );
       ( "service",
         [
+          Alcotest.test_case "default config takes merkle fast path" `Quick
+            test_default_config_takes_merkle_fast_path;
           Alcotest.test_case "coalesces duplicates" `Quick
             test_coalesce_duplicates;
           Alcotest.test_case "batch cheaper than standalone" `Quick
