@@ -416,3 +416,9 @@ grep -q 'anchor mismatch' "$evade_out" || {
   exit 1
 }
 echo "evasion smoke OK: poll-30 evaded, write traps caught, anchor audit beat the shim"
+
+echo "== benchmark self-test (each perfbench gate rejects a planted wrong expectation) =="
+# Builds perfbench into .bench_build and drives every workload's
+# correctness gate with a right and a deliberately wrong expectation; a
+# gate that accepts the wrong one fails the run.
+python3 perfbench/run.py --self-test

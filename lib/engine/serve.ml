@@ -105,6 +105,13 @@ let run ?(window = 32) ?ledger ?emit engine ~next =
         incr draining;
         false
   in
+  let reject seq e =
+    let reply = Wire.Invalid { i_seq = seq; i_error = e } in
+    emit reply;
+    account reply;
+    incr invalid
+  in
+  let vms = Mc_hypervisor.Cloud.vm_count (Engine_core.cloud engine) in
   let rec pump () =
     match next () with
     | None -> ()
@@ -116,11 +123,13 @@ let run ?(window = 32) ?ledger ?emit engine ~next =
           let seq = !requests in
           incr requests;
           (match Wire.parse_line trimmed with
-          | Error e ->
-              let reply = Wire.Invalid { i_seq = seq; i_error = e } in
-              emit reply;
-              account reply;
-              incr invalid
+          | Error e -> reject seq e
+          | Ok { Wire.f_request = Engine_core.Check { vm; _ }; _ }
+            when vm >= vms ->
+              (* The engine would raise on the absent DomU when it runs the
+                 check; the client named it, so the client gets the error. *)
+              reject seq
+                (Printf.sprintf "check: no VM %d in a %d-VM pool" vm vms)
           | Ok frame ->
               if Queue.length inflight >= window then settle_oldest ();
               ignore (admit ~attempt:0 seq frame));

@@ -14,7 +14,9 @@
       frees capacity (settling the oldest in-flight request, or backing
       off {!Engine_core.backoff_delay_s} when none is in flight) and
       resubmits. [Draining] and parse failures likewise answer on the
-      wire rather than dropping the request.
+      wire rather than dropping the request, and so does a [check]
+      naming a VM the pool does not have: it gets an [Invalid] reply and
+      is never submitted.
     - {b Attestation.} Every response is appended to the [ledger] (when
       given): request key, verdict, vote counts, Merkle anchor root,
       meter summary, and the MD5 of the exact reply JSON emitted — the

@@ -487,6 +487,7 @@ let serve_session ~seed ~infect ~request_lines ~window () =
   let verdicts = ref [] in
   let emit = function
     | Wire.Resp r -> verdicts := (r.Wire.rs_seq, Wire.verdict_key r) :: !verdicts
+    | Wire.Invalid { i_seq; _ } -> verdicts := (i_seq, "invalid") :: !verdicts
     | _ -> ()
   in
   let sv = Serve.run ~window ~emit engine ~next in
@@ -534,6 +535,22 @@ let test_stream_batch_parity () =
         (name ^ ": infection reaches the exit status")
         Exit_code.infected stream_exit)
     scenarios
+
+(* A check naming an absent VM is the client's error: it is answered
+   [Invalid] with its own seq, never submitted, and the session goes on to
+   answer the next request; the batch verdict combines to error. *)
+let test_serve_absent_vm () =
+  let verdicts, exit =
+    serve_session ~seed:937L ~infect:(fun _ -> Ok ()) ~window:1
+      ~request_lines:[ "check 0 hal.dll"; "check 9 hal.dll"; "check 1 hal.dll" ]
+      ()
+  in
+  check
+    Alcotest.(list (pair int string))
+    "seq 1 invalid, seq 2 answered"
+    [ (0, "intact"); (1, "invalid"); (2, "intact") ]
+    verdicts;
+  check Alcotest.int "combined exit" Exit_code.error exit
 
 (* --- versioned report JSON ------------------------------------------------ *)
 
@@ -873,6 +890,8 @@ let () =
           Alcotest.test_case "backoff schedule" `Quick test_backoff_schedule;
           Alcotest.test_case "run backs off on full queue" `Quick
             test_run_backs_off_on_full_queue;
+          Alcotest.test_case "serve: absent VM answered invalid" `Quick
+            test_serve_absent_vm;
           Alcotest.test_case "stream/batch parity" `Quick
             test_stream_batch_parity;
         ] );
